@@ -29,7 +29,10 @@ from repro.faults.inject import InjectionReport
 from repro.faults.models import FaultPlan
 from repro.hardware.cluster import ClusterSpec
 from repro.model.config import TextModelConfig
-from repro.obs.metrics import MetricsRegistry, record_comm_overlap_metrics
+from repro.obs.metrics import MetricsRegistry, comm_overlap_seconds
+# Unused here, but perfbench/layers.py lists this import site of the
+# obs.metrics layer and refuses to trace when it is gone.
+from repro.obs.metrics import record_comm_overlap_metrics  # noqa: F401
 from repro.parallel.config import JobConfig, ParallelConfig
 from repro.parallel.mesh import DeviceMesh
 from repro.sim.engine import Simulator
@@ -45,17 +48,15 @@ def exposed_comm_by_stream(sim: Simulator) -> Dict[str, float]:
     """Exposed communication seconds per stream, summed over ranks.
 
     Per-stream ``comm``-kind exposure comes from the overlap accounting
-    (:func:`repro.obs.metrics.record_comm_overlap_metrics` — the part of
-    each collective outside any compute event); synthesized
-    ``exposed_comm`` waits (P2P input gaps) are added under their own
-    stream (``"wait"`` on the step-graph path).
+    pass (:func:`repro.obs.metrics.comm_overlap_seconds` — the part of
+    each collective outside any compute event), summed over ranks in
+    ascending order; synthesized ``exposed_comm`` waits (P2P input gaps)
+    are added under their own stream (``"wait"`` on the step-graph path).
     """
-    registry = record_comm_overlap_metrics(sim)
     out: Dict[str, float] = {}
-    if "comm.exposed_seconds" in registry:
-        for labels, value in registry.get("comm.exposed_seconds").values.items():
-            stream = dict(labels)["stream"]
-            out[stream] = out.get(stream, 0.0) + value
+    for by_stream in comm_overlap_seconds(sim).values():
+        for stream, (tot_s, ov_s) in by_stream.items():
+            out[stream] = out.get(stream, 0.0) + (tot_s - ov_s)
     for event in sim.events:
         if event.kind == "exposed_comm":
             out[event.stream] = out.get(event.stream, 0.0) + event.duration

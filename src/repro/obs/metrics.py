@@ -18,6 +18,7 @@ the view the Section 6.1 top-down search walks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -406,6 +407,44 @@ def _merged_intervals(spans) -> List[Tuple[float, float]]:
     return merged
 
 
+def comm_overlap_seconds(
+    sim: Simulator,
+) -> Dict[int, Dict[str, Tuple[float, float]]]:
+    """Per rank, per comm stream: (comm seconds, seconds hidden under
+    compute), ranks and streams in ascending order.
+
+    Each rank's compute events are merged once into disjoint intervals,
+    whose starts and ends both strictly increase.  One ``bisect_right``
+    on the ends finds the first interval a comm event can overlap, and
+    the walk stops at the first interval starting at or after the event's
+    end, so each event costs O(log C + intervals it overlaps), not O(C).
+    Every walked piece is >= 0 and every skipped interval would have
+    added ``+0.0``, so the sums are bitwise those of a scan over every
+    interval in order.
+    """
+    out: Dict[int, Dict[str, Tuple[float, float]]] = {}
+    for rank in sorted({e.rank for e in sim.events}):
+        events = sim.events_for(rank)
+        compute = _merged_intervals(
+            (e.start, e.end) for e in events if e.kind == "compute")
+        starts = [cs for cs, _ in compute]
+        ends = [ce for _, ce in compute]
+        by_stream: Dict[str, Tuple[float, float]] = {}
+        for event in events:
+            if event.kind != "comm":
+                continue
+            start, end = event.start, event.end
+            hidden = 0.0
+            i = bisect_right(ends, start)
+            while i < len(starts) and starts[i] < end:
+                hidden += min(end, ends[i]) - max(start, starts[i])
+                i += 1
+            tot_s, ov_s = by_stream.get(event.stream, (0.0, 0.0))
+            by_stream[event.stream] = (tot_s + event.duration, ov_s + hidden)
+        out[rank] = dict(sorted(by_stream.items()))
+    return out
+
+
 def record_comm_overlap_metrics(
     sim: Simulator,
     registry: Optional[MetricsRegistry] = None,
@@ -416,8 +455,9 @@ def record_comm_overlap_metrics(
     For every rank and comm stream, splits each ``comm``-kind event's span
     into the part covered by that rank's compute events (overlapped — the
     Section 7.3.1 goal state) and the remainder (exposed on the timeline,
-    even if nothing explicitly waited on it).  Writes, labeled by (mapped)
-    rank and stream:
+    even if nothing explicitly waited on it); see
+    :func:`comm_overlap_seconds`.  Writes, labeled by (mapped) rank and
+    stream:
 
     * ``comm.total_seconds`` — comm-event span time;
     * ``comm.overlapped_seconds`` — the part hidden under compute;
@@ -434,19 +474,9 @@ def record_comm_overlap_metrics(
     exposed = registry.gauge(
         "comm.exposed_seconds", unit="s",
         description="comm time outside any compute event, per rank/stream")
-    for rank in sorted({e.rank for e in sim.events}):
-        compute = _merged_intervals(
-            (e.start, e.end) for e in sim.events_for(rank, kind="compute"))
-        by_stream: Dict[str, Tuple[float, float]] = {}
-        for event in sim.events_for(rank, kind="comm"):
-            hidden = sum(
-                max(0.0, min(event.end, ce) - max(event.start, cs))
-                for cs, ce in compute
-            )
-            tot_s, ov_s = by_stream.get(event.stream, (0.0, 0.0))
-            by_stream[event.stream] = (tot_s + event.duration, ov_s + hidden)
+    for rank, by_stream in comm_overlap_seconds(sim).items():
         label = rank_map.get(rank, rank)
-        for stream, (tot_s, ov_s) in sorted(by_stream.items()):
+        for stream, (tot_s, ov_s) in by_stream.items():
             total.set(tot_s, rank=label, stream=stream)
             overlapped.set(ov_s, rank=label, stream=stream)
             exposed.set(tot_s - ov_s, rank=label, stream=stream)

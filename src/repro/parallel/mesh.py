@@ -23,7 +23,7 @@ operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.parallel.config import ParallelConfig
 
@@ -90,32 +90,47 @@ class DeviceMesh:
              + coord.cp) * p.tp + coord.tp
         )
 
+    def _stride_and_size(self, dim: str) -> Tuple[int, int]:
+        """``dim``'s size and its stride: the rank distance between
+        neighbours in ``dim``, the product of the sizes of every
+        dimension inside it."""
+        sizes = self._sizes()
+        if dim not in sizes:
+            raise ValueError(f"unknown dim {dim!r}; expected one of {DIM_ORDER}")
+        stride = 1
+        for inner in DIM_ORDER[:DIM_ORDER.index(dim)]:
+            stride *= sizes[inner]
+        return stride, sizes[dim]
+
     def group_of(self, rank: int, dim: str) -> List[int]:
         """Ranks in the same ``dim`` process group as ``rank``.
 
         E.g. ``group_of(r, "tp")`` is the TP group: all ranks differing
         from ``r`` only in their TP coordinate, in TP-index order.
         ``group_of(r, "ep")`` is the expert-parallel group the MoE
-        all-to-all runs over.
+        all-to-all runs over.  Arithmetic: the group is ``base + i *
+        stride`` where ``base`` is ``rank`` with its ``dim`` index zeroed.
         """
-        coord = self.coord_of(rank)
-        size = self._sizes().get(dim)
-        if size is None:
-            raise ValueError(f"unknown dim {dim!r}; expected one of {DIM_ORDER}")
-        return [
-            self.rank_of(coord.replace_dim(dim, i)) for i in range(size)
-        ]
+        if not 0 <= rank < self.world_size:
+            raise ValueError(f"rank {rank} out of range [0, {self.world_size})")
+        stride, size = self._stride_and_size(dim)
+        base = rank - (rank // stride) % size * stride
+        return list(range(base, base + size * stride, stride))
 
     def all_groups(self, dim: str) -> List[List[int]]:
-        """Every ``dim`` process group, each as an ordered rank list."""
-        seen = set()
-        groups = []
-        for rank in range(self.world_size):
-            group = tuple(self.group_of(rank, dim))
-            if group not in seen:
-                seen.add(group)
-                groups.append(list(group))
-        return groups
+        """Every ``dim`` process group, each as an ordered rank list.
+
+        Groups come in ascending order of their lowest rank ``base`` (the
+        member with ``dim`` index 0); the bases are the runs of ``stride``
+        consecutive ranks that start every ``stride * size`` ranks.
+        """
+        stride, size = self._stride_and_size(dim)
+        block = stride * size
+        return [
+            list(range(base, base + block, stride))
+            for outer in range(0, self.world_size, block)
+            for base in range(outer, outer + stride)
+        ]
 
     def dp_cp_group_of(self, rank: int) -> List[int]:
         """The combined DP x CP group used for parameter all-gather and
