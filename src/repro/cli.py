@@ -19,9 +19,10 @@ Commands:
   score the Section 6.1 slow-rank localisation against the injected
   truth (see ``docs/faults.md``).
 * ``verify``    — run the verification subsystem: differential oracles
-  plus a seeded invariant fuzz over schedule configurations — or, with
-  ``--faults``, a fault-randomizing fuzz of the localisation loop;
-  exits 1 when any violation is found (see ``docs/verification.md``).
+  plus one seeded fuzz campaign — schedule configurations by default,
+  or the localisation loop (``--faults``), the engine (``--engine``) or
+  resilient runs (``--resilience``); exits 1 when any violation is
+  found (see ``docs/verification.md``).
 * ``run``       — simulate a multi-step run under a seeded failure
   process with a checkpoint/restart policy (``none``, ``fixed:N``, or
   Young/Daly-optimal) and report goodput over wall-clock
@@ -716,47 +717,56 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Run the oracle battery, the seeded config fuzz, and the step-graph
-    timeline invariants (Section 6.2's methodology as a regression gate).
-    Exit 0 when every check passes, 1 when any violation is found."""
+    """Run the oracle battery, one seeded fuzz campaign, and the
+    step-graph timeline invariants (Section 6.2's methodology as a
+    regression gate).  Exit 0 when every check passes, 1 when any
+    violation is found."""
     from repro.obs.report import verify_report
-    from repro.verify.fuzz import run_fuzz
+    from repro.verify import engine_fuzz, fuzz, resilience_fuzz
+    from repro.verify.campaign import run_campaign
     from repro.verify.oracles import run_default_oracles
 
     if args.fuzz < 1:
         _fail(f"--fuzz must be >= 1 (got {args.fuzz})")
+    if args.seed < 0:
+        _fail(f"--seed must be >= 0 (got {args.seed})")
     modes = [flag for flag in ("faults", "engine", "resilience")
              if getattr(args, flag)]
     if len(modes) > 1:
         _fail("--faults, --engine, and --resilience are mutually exclusive")
+    for flag, value in (("--max-pp", args.max_pp),
+                        ("--max-nmb", args.max_nmb)):
+        if value is not None and value < 1:
+            _fail(f"{flag} must be >= 1 (got {value})")
+    knobs = {name: value for name, value in (
+        ("max_pp", args.max_pp), ("max_nmb", args.max_nmb),
+        ("kinds", args.schedule and (args.schedule,))) if value is not None}
+    if modes and knobs:
+        _fail("--schedule, --max-pp and --max-nmb only apply to the "
+              f"schedule campaign, not --{modes[0]}")
+    # mode: (JSON key, case noun, failure noun, campaign, trace exporter)
+    key, noun, verdict, make_campaign, export_trace = {
+        "schedule": ("fuzz", "configs", "failed",
+                     lambda: fuzz.schedule_campaign(**knobs),
+                     _export_verify_trace),
+        "faults": ("fault_fuzz", "scenarios", "localisation misses",
+                   lambda: fuzz.FAULT_CAMPAIGN, _export_fault_fuzz_trace),
+        "engine": ("engine_fuzz", "submission sequences",
+                   "diverged from reference", engine_fuzz.engine_campaign,
+                   None),
+        "resilience": ("resilience_fuzz", "scenarios",
+                       "invariant violations",
+                       lambda: resilience_fuzz.RESILIENCE_CAMPAIGN, None),
+    }[modes[0] if modes else "schedule"]
     oracles = [] if args.no_oracles else run_default_oracles(seed=args.seed)
-    fuzz = fault_fuzz = engine_fuzz = resilience_fuzz = None
-    if args.faults:
-        from repro.verify.fuzz import run_fault_fuzz
-
-        fault_fuzz = run_fault_fuzz(args.fuzz, seed=args.seed)
-    elif args.engine:
-        from repro.verify.engine_fuzz import EngineFuzzConfig, run_engine_fuzz
-
-        engine_fuzz = run_engine_fuzz(
-            EngineFuzzConfig(cases=args.fuzz, seed=args.seed))
-    elif args.resilience:
-        from repro.verify.resilience_fuzz import run_resilience_fuzz
-
-        resilience_fuzz = run_resilience_fuzz(args.fuzz, seed=args.seed)
-    else:
-        kinds = (args.schedule,) if args.schedule else None
-        fuzz = run_fuzz(args.fuzz, seed=args.seed, max_pp=args.max_pp,
-                        max_nmb=args.max_nmb, kinds=kinds)
+    campaign = make_campaign()
+    result = run_campaign(campaign, args.fuzz, seed=args.seed)
     step_inv = None if args.no_step_invariants else _step_invariants()
-    report = verify_report(fuzz, oracles, step_invariants=step_inv,
-                           fault_fuzz=fault_fuzz, engine_fuzz=engine_fuzz,
-                           resilience_fuzz=resilience_fuzz)
+    report = verify_report(result, oracles, step_invariants=step_inv,
+                           key=key)
     if args.trace:
-        if fuzz is not None:
-            _export_verify_trace(fuzz, args.trace)
-        elif fault_fuzz is not None:
-            _export_fault_fuzz_trace(fault_fuzz, args.trace)
+        if export_trace is not None:
+            export_trace(result, args.trace)
         else:
             print("note: --trace has no effect with --engine or "
                   "--resilience (divergences are reported as shrunk "
@@ -769,38 +779,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"oracle {o.name:20s} {status}  {o.context}")
             for v in o.violations:
                 print(f"  violation: {v.message}")
-        if fuzz is not None:
-            print(f"fuzz: {fuzz.cases} configs, seed {fuzz.seed}: "
-                  f"{fuzz.failed_cases} failed")
-            for f in fuzz.failures:
-                print(f"  {f.config.describe()} shrinks to "
-                      f"{f.shrunk.describe()}")
-                for v in f.shrunk_report.violations:
-                    print(f"    violation [{v.check}]: {v.message}")
-        if fault_fuzz is not None:
-            print(f"fault fuzz: {fault_fuzz.cases} scenarios, seed "
-                  f"{fault_fuzz.seed}: {fault_fuzz.failed_cases} "
-                  f"localisation misses")
-            for f in fault_fuzz.failures:
-                print(f"  {f.scenario.describe()} shrinks to "
-                      f"{f.shrunk.describe()}")
-                print(f"    detected rank {f.shrunk_score.detected_rank} "
-                      f"({f.shrunk_score.attribution})")
-        if engine_fuzz is not None:
-            print(f"engine fuzz: {engine_fuzz.cases_run} submission "
-                  f"sequences, seed {engine_fuzz.seed}: "
-                  f"{engine_fuzz.failed_cases} diverged from reference")
-            for f in engine_fuzz.failures:
-                print("  " + f.describe().replace("\n", "\n  "))
-        if resilience_fuzz is not None:
-            print(f"resilience fuzz: {resilience_fuzz.cases} scenarios, "
-                  f"seed {resilience_fuzz.seed}: "
-                  f"{resilience_fuzz.failed_cases} invariant violations")
-            for f in resilience_fuzz.failures:
-                print(f"  {f.scenario.describe()} shrinks to "
-                      f"{f.shrunk.describe()}")
-                for v in f.shrunk_violations:
-                    print(f"    violation [{v['check']}]: {v['message']}")
+        print(f"{key.replace('_', ' ')}: {result.cases} {noun}, seed "
+              f"{result.seed}: {result.failed_cases} {verdict}")
+        for f in result.failures:
+            print("  " + campaign.explain(f).replace("\n", "\n  "))
         if step_inv is not None:
             for mode in step_inv["modes"]:
                 status = "ok" if mode["ok"] else "FAIL"
@@ -1140,10 +1122,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="RNG seed; a failure report plus this seed is a "
                         "complete reproduction recipe")
-    p.add_argument("--max-pp", type=int, default=8,
-                   help="largest pipeline degree sampled")
-    p.add_argument("--max-nmb", type=int, default=16,
-                   help="largest micro-batch count sampled")
+    p.add_argument("--max-pp", type=int, default=None,
+                   help="largest pipeline degree sampled (default 8)")
+    p.add_argument("--max-nmb", type=int, default=None,
+                   help="largest micro-batch count sampled (default 16)")
     p.add_argument("--schedule", default=None, choices=schedule_kinds(),
                    help="fuzz only this registered schedule kind "
                         "(default: sample the kind per case from the "

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.faults.goodput import GoodputReport
     from repro.resilience.run import RunResult
-    from repro.verify.fuzz import FaultFuzzResult, FuzzResult
+    from repro.verify.campaign import CampaignResult
     from repro.verify.oracles import OracleResult
 
 import numpy as np
@@ -386,33 +386,24 @@ def analysis_report(
 
 
 def verify_report(
-    fuzz: Optional["FuzzResult"],
+    fuzz: Optional["CampaignResult"],
     oracles: Sequence["OracleResult"] = (),
     step_invariants: Optional[dict] = None,
-    fault_fuzz: Optional["FaultFuzzResult"] = None,
-    engine_fuzz: Optional["EngineFuzzResult"] = None,
-    resilience_fuzz=None,
+    key: str = "fuzz",
 ) -> dict:
     """The verification subsystem's outcome (Section 6.2 methodology).
 
-    ``ok`` aggregates the fuzz campaign (schedule-property,
-    fault-randomizing, engine-differential, and/or resilience
-    taxonomy-sampling), every oracle, and (when run) the step-graph
-    timeline invariants; each fuzz failure carries its minimal shrunk
-    reproducer, so re-running ``repro verify --seed <seed>`` (or
-    building the shrunk config directly) reproduces the finding.  Any
-    fuzz campaign may be omitted (None); its key is then absent.
+    ``ok`` aggregates the fuzz campaign (reported under ``key``: ``fuzz``,
+    ``fault_fuzz``, ``engine_fuzz`` or ``resilience_fuzz``), every
+    oracle, and (when run) the step-graph timeline invariants; each fuzz
+    failure carries its minimal shrunk reproducer, so re-running
+    ``repro verify --seed <seed>`` (or building the shrunk case directly)
+    reproduces the finding.  With no campaign (None) the key is absent.
     """
     oracle_dicts = [o.to_dict() for o in oracles]
     ok = all(o["ok"] for o in oracle_dicts)
     if fuzz is not None:
         ok = ok and fuzz.ok
-    if fault_fuzz is not None:
-        ok = ok and fault_fuzz.ok
-    if engine_fuzz is not None:
-        ok = ok and engine_fuzz.ok
-    if resilience_fuzz is not None:
-        ok = ok and resilience_fuzz.ok
     if step_invariants is not None:
         ok = ok and step_invariants.get("ok", False)
     out = {
@@ -421,13 +412,7 @@ def verify_report(
         "oracles": oracle_dicts,
     }
     if fuzz is not None:
-        out["fuzz"] = fuzz.to_dict()
-    if fault_fuzz is not None:
-        out["fault_fuzz"] = fault_fuzz.to_dict()
-    if engine_fuzz is not None:
-        out["engine_fuzz"] = engine_fuzz.to_dict()
-    if resilience_fuzz is not None:
-        out["resilience_fuzz"] = resilience_fuzz.to_dict()
+        out[key] = fuzz.to_dict()
     if step_invariants is not None:
         out["step_invariants"] = step_invariants
     return out

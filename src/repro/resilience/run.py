@@ -521,7 +521,7 @@ def simulate_run(
         lost = min(size, cur_nodes - index * size)
         return lost * cluster.gpus_per_node
 
-    def shrink_fleet(lost_gpus: int) -> bool:
+    def contract_fleet(lost_gpus: int) -> bool:
         """Elastic replan after losing ``lost_gpus``; False = infeasible."""
         nonlocal seg, capacity, truncated_reason
         new_capacity = capacity - lost_gpus
@@ -572,7 +572,7 @@ def simulate_run(
                     records.remove(rec)
             if not config.elastic:
                 continue
-            if not shrink_fleet(lost_gpus_for(ev.kind, ev.where_fraction)):
+            if not contract_fleet(lost_gpus_for(ev.kind, ev.where_fraction)):
                 break
 
     def gray_tax(gray: dict) -> float:
@@ -695,7 +695,7 @@ def simulate_run(
         if drain_tier is not None:
             write_checkpoint(drain_tier, extra_tags=("drain",))
         if config.elastic:
-            shrink_fleet(cluster.gpus_per_node)
+            contract_fleet(cluster.gpus_per_node)
         else:
             emit("io", config.replacement_seconds, "wait:replacement",
                  "io", ("waiting",))
@@ -854,7 +854,7 @@ def simulate_run(
 
         if domain != "none":
             if config.elastic:
-                if not shrink_fleet(
+                if not contract_fleet(
                         lost_gpus_for(reason, ev.where_fraction)):
                     # Nothing restorable will run: rework what's in
                     # flight beyond the best surviving checkpoint.

@@ -10,42 +10,49 @@ Correctness as a first-class, reusable subsystem (see
 * :mod:`repro.verify.oracles` — differential oracles: flexible-PP AFAB
   degeneration, CP head/tail sharding vs. unsharded attention, and
   pipeline numerics vs. the order-matched sequential baseline.
-* :mod:`repro.verify.fuzz` — deterministic config fuzzer with shrinking
-  to minimal reproducers.
-* :mod:`repro.verify.engine_fuzz` — differential engine fuzzer: random
-  submission sequences replayed through the fast engine and the frozen
-  reference engine (``tests/harness/reference_engine.py``), asserting
-  bitwise-equal observables, with greedy shrinking to a minimal
-  diverging sequence (``repro verify --engine``).
-* :mod:`repro.verify.resilience_fuzz` — taxonomy-sampling fuzz for the
-  resilient-run simulator: random failure taxonomies, tiered policies,
-  and mitigation strategies checked against accounting/progress/
-  determinism/fixed-draw invariants (``repro verify --resilience``).
+* :mod:`repro.verify.campaign` — the one fuzz-campaign driver:
+  ``run_campaign(campaign, cases, seed)`` samples, checks and greedily
+  shrinks every failure to a minimal reproducer, for any
+  :class:`~repro.verify.campaign.Campaign` value.
+* :mod:`repro.verify.fuzz` — the schedule-config campaign
+  (``schedule_campaign``) and the fault-localisation campaign
+  (``FAULT_CAMPAIGN``, ``repro verify --faults``).
+* :mod:`repro.verify.engine_fuzz` — differential engine campaign
+  (``engine_campaign``): random submission sequences replayed through
+  the fast engine and the frozen reference engine
+  (``tests/harness/reference_engine.py``), asserting bitwise-equal
+  observables (``repro verify --engine``).
+* :mod:`repro.verify.resilience_fuzz` — taxonomy-sampling campaign for
+  the resilient-run simulator (``RESILIENCE_CAMPAIGN``): random failure
+  taxonomies, tiered policies, and mitigation strategies checked
+  against accounting/progress/determinism/fixed-draw invariants
+  (``repro verify --resilience``).
 
 The same machinery backs ``python -m repro verify`` (CI and local) and
 the test suite (``tests/test_verify_*.py``).
 """
 
+from repro.verify.campaign import (
+    Campaign,
+    CampaignResult,
+    Failure,
+    run_campaign,
+    shrink,
+)
 from repro.verify.engine_fuzz import (
     EngineFuzzCase,
-    EngineFuzzConfig,
-    EngineFuzzFailure,
-    EngineFuzzResult,
     check_case,
     compare_engines,
+    engine_campaign,
     load_reference_simulator,
-    run_engine_fuzz,
     sample_case,
-    shrink_case,
 )
 from repro.verify.fuzz import (
+    FAULT_CAMPAIGN,
     FuzzConfig,
-    FuzzFailure,
-    FuzzResult,
     check_config,
-    run_fuzz,
     sample_config,
-    shrink_config,
+    schedule_campaign,
 )
 from repro.verify.invariants import (
     InvariantReport,
@@ -59,13 +66,10 @@ from repro.verify.invariants import (
     run_invariants,
 )
 from repro.verify.resilience_fuzz import (
-    ResilienceFuzzFailure,
-    ResilienceFuzzResult,
+    RESILIENCE_CAMPAIGN,
     ResilienceScenario,
     check_resilience_scenario,
-    run_resilience_fuzz,
     sample_resilience_scenario,
-    shrink_resilience_scenario,
 )
 from repro.verify.oracles import (
     OracleResult,
@@ -76,17 +80,15 @@ from repro.verify.oracles import (
 )
 
 __all__ = [
+    "Campaign",
+    "CampaignResult",
     "EngineFuzzCase",
-    "EngineFuzzConfig",
-    "EngineFuzzFailure",
-    "EngineFuzzResult",
+    "FAULT_CAMPAIGN",
+    "Failure",
     "FuzzConfig",
-    "FuzzFailure",
-    "FuzzResult",
     "InvariantReport",
     "OracleResult",
-    "ResilienceFuzzFailure",
-    "ResilienceFuzzResult",
+    "RESILIENCE_CAMPAIGN",
     "ResilienceScenario",
     "Violation",
     "check_case",
@@ -99,19 +101,17 @@ __all__ = [
     "check_stream_overlap",
     "check_warmup_depth",
     "check_zero_schedule",
+    "engine_campaign",
     "load_reference_simulator",
     "oracle_afab_degeneration",
     "oracle_cp_attention",
     "oracle_pp_numerics",
+    "run_campaign",
     "run_default_oracles",
-    "run_engine_fuzz",
-    "run_fuzz",
     "run_invariants",
-    "run_resilience_fuzz",
     "sample_case",
     "sample_config",
     "sample_resilience_scenario",
-    "shrink_case",
-    "shrink_config",
-    "shrink_resilience_scenario",
+    "schedule_campaign",
+    "shrink",
 ]

@@ -10,30 +10,31 @@ through both engines, and diffs every observable: each
 :class:`TraceEvent` field, global and per-rank makespans, per-stream
 busy/idle accounting, and the ``events_for`` views.
 
-Determinism is the contract, exactly as in :mod:`repro.verify.fuzz`:
-``run_engine_fuzz(config)`` visits the same sequences in the same order
-everywhere, so a failure's seed plus its shrunk sequence is a complete
-reproduction recipe.  Failures are greedily *shrunk* to a minimal
-diverging submission sequence by dropping whole submissions (dependency
-references onto dropped submissions are patched out) and simplifying the
-survivors (deps, skew, retries, tags stripped one at a time).
+:func:`engine_campaign` runs on :func:`repro.verify.campaign.run_campaign`
+like every other campaign, so a failure's seed plus its shrunk sequence
+is a complete reproduction recipe.  Shrink moves drop whole submissions
+(dependency references onto dropped submissions are patched out) and
+simplify the survivors (deps, skew, retries, tags stripped one at a
+time).
 
-The ``engine`` hook mirrors ``fuzz.py``'s ``build`` hook: injecting a
-deliberately corrupted fast engine must make the harness report and
-shrink the divergence — that is how the harness itself is verified.
+The ``engine`` hook mirrors the schedule campaign's ``build`` hook:
+injecting a deliberately corrupted fast engine must make the harness
+report and shrink the divergence — that is how the harness itself is
+verified.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.sim.engine import Simulator
+from repro.verify.campaign import Campaign, Failure
 
 #: Streams the fuzzer submits onto — the ones real lowerings use.
 _STREAMS = ("compute", "tp", "p2p", "fsdp")
@@ -449,7 +450,8 @@ def _drop_uid(ops: Sequence[SubmitOp], uid: int) -> Tuple[SubmitOp, ...]:
 
 
 def _shrink_candidates(case: EngineFuzzCase) -> List[EngineFuzzCase]:
-    """Strictly-smaller neighbours, biggest reduction first."""
+    """Neighbours with one submission or modifier dropped, or one
+    submission simplified."""
     out: List[EngineFuzzCase] = []
     for op in case.ops:
         out.append(replace(case, ops=_drop_uid(case.ops, op.uid)))
@@ -469,141 +471,48 @@ def _shrink_candidates(case: EngineFuzzCase) -> List[EngineFuzzCase]:
         if simplified is not None:
             out.append(replace(case, ops=(
                 case.ops[:i] + (simplified,) + case.ops[i + 1:])))
-    return sorted((c for c in out if c.cost < case.cost),
-                  key=lambda c: c.cost)
+    return out
 
 
-def shrink_case(
-    case: EngineFuzzCase,
-    failing: Callable[[EngineFuzzCase], bool],
-) -> EngineFuzzCase:
-    """Greedily minimise a diverging sequence (same loop as
-    :func:`repro.verify.fuzz.shrink_config`: every accepted candidate
-    strictly reduces ``cost``, so termination is guaranteed)."""
-    current = case
-    improved = True
-    while improved:
-        improved = False
-        for candidate in _shrink_candidates(current):
-            if failing(candidate):
-                current = candidate
-                improved = True
-                break
-    return current
+def _explain(failure: Failure) -> str:
+    return (f"divergence: {failure.shrunk_evidence[0]}\n"
+            f"minimal reproducer ({len(failure.shrunk.ops)} submissions):\n"
+            f"{failure.shrunk.describe()}")
 
 
-# ----------------------------------------------------------------------
-# Campaign
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EngineFuzzConfig:
-    """One engine-fuzz campaign's knobs."""
-
-    cases: int = 200
-    seed: int = 0
-    max_ops: int = 24
-    world: int = 8
-
-
-@dataclass(frozen=True)
-class EngineFuzzFailure:
-    """One diverging sequence with its minimal shrunk reproducer."""
-
-    case: EngineFuzzCase
-    problems: Tuple[str, ...]
-    shrunk: EngineFuzzCase
-    shrunk_problems: Tuple[str, ...]
-
-    def describe(self) -> str:
-        return (f"divergence: {self.shrunk_problems[0]}\n"
-                f"minimal reproducer ({len(self.shrunk.ops)} submissions):\n"
-                f"{self.shrunk.describe()}")
-
-    def to_dict(self) -> dict:
-        return {
-            "problems": list(self.problems),
-            "shrunk_problems": list(self.shrunk_problems),
-            "shrunk_case": self.shrunk.to_dict(),
-        }
-
-
-@dataclass(frozen=True)
-class EngineFuzzResult:
-    """Outcome of one engine-fuzz campaign."""
-
-    seed: int
-    cases_run: int
-    failed_cases: int
-    failures: Tuple[EngineFuzzFailure, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return self.failed_cases == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "cases": self.cases_run,
-            "failed_cases": self.failed_cases,
-            "ok": self.ok,
-            "failures": [f.to_dict() for f in self.failures],
-        }
-
-
-def run_engine_fuzz(
-    config: EngineFuzzConfig = EngineFuzzConfig(),
+def engine_campaign(
+    max_ops: int = 24,
+    world: int = 8,
     engine: Callable[[], object] = Simulator,
-    max_failures: int = 5,
-) -> EngineFuzzResult:
-    """Run one differential fuzz campaign.
-
-    Args:
-        config: Campaign size, seed, and sequence shape.
-        engine: Fast-engine factory (the hook corrupted-engine
-            self-tests inject through).
-        max_failures: Stop collecting (and shrinking) after this many
-            diverging sequences — the campaign still counts the rest.
-    """
+) -> Campaign[EngineFuzzCase, Tuple[str, ...]]:
+    """The differential engine campaign; evidence is the tuple of
+    divergences.  ``engine`` is the fast-engine factory (the hook
+    corrupted-engine self-tests inject through).  Loads the frozen
+    reference engine, so it only works in a source checkout."""
     reference_cls = load_reference_simulator()
-    rng = np.random.default_rng(config.seed)
-    failures: List[EngineFuzzFailure] = []
-    failed = 0
-    for _ in range(config.cases):
-        case = sample_case(rng, max_ops=config.max_ops, world=config.world)
-        problems = check_case(case, reference_cls, engine)
-        if not problems:
-            continue
-        failed += 1
-        if len(failures) < max_failures:
-            shrunk = shrink_case(
-                case,
-                lambda c: bool(check_case(c, reference_cls, engine)))
-            failures.append(EngineFuzzFailure(
-                case=case,
-                problems=tuple(problems),
-                shrunk=shrunk,
-                shrunk_problems=tuple(
-                    check_case(shrunk, reference_cls, engine))))
-    return EngineFuzzResult(
-        seed=config.seed,
-        cases_run=config.cases,
-        failed_cases=failed,
-        failures=tuple(failures),
+
+    def check(case: EngineFuzzCase) -> Tuple[bool, Tuple[str, ...]]:
+        problems = tuple(check_case(case, reference_cls, engine))
+        return not problems, problems
+
+    return Campaign(
+        sample=lambda rng: sample_case(rng, max_ops=max_ops, world=world),
+        check=check,
+        shrink_candidates=_shrink_candidates,
+        case_key="case",
+        evidence_key="problems",
+        evidence_json=list,
+        explain=_explain,
     )
 
 
 __all__ = [
     "EngineFuzzCase",
-    "EngineFuzzConfig",
-    "EngineFuzzFailure",
-    "EngineFuzzResult",
     "SubmitOp",
     "check_case",
     "compare_engines",
+    "engine_campaign",
     "load_reference_simulator",
     "replay_case",
-    "run_engine_fuzz",
     "sample_case",
-    "shrink_case",
 ]

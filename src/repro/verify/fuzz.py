@@ -1,37 +1,36 @@
-"""Seeded property-fuzz harness over pipeline-schedule configurations.
+"""Seeded property-fuzz campaigns over pipeline-schedule configurations
+and the fault-localisation loop.
 
-Samples valid ``(kind, pp, v, nc, nmb, zero)`` configurations from a
-deterministic RNG — the schedule ``kind`` is drawn from the
+:func:`schedule_campaign` samples valid ``(kind, pp, v, nc, nmb, zero)``
+configurations — the schedule ``kind`` is drawn from the
 :mod:`repro.pp.registry`, so newly registered schedules are fuzzed
 without touching this module — builds and executes each schedule on the
-simulator, runs the full invariant suite
-(:mod:`repro.verify.invariants`), and — when a configuration fails —
-greedily *shrinks* it to a minimal reproducer by re-checking
-ever-smaller neighbouring configurations.  Shrinking stays within the
-sampled kind and only proposes shapes that kind supports, so a shrunk
+simulator and runs the full invariant suite
+(:mod:`repro.verify.invariants`).  Its shrink moves stay within the
+sampled kind and only propose shapes that kind supports, so a shrunk
 reproducer is always directly re-buildable.
 
-Determinism is the contract: ``run_fuzz(n, seed)`` visits the same
-configurations in the same order on every machine, so a failure report's
-``seed`` plus the shrunk config is a complete reproduction recipe (see
-``docs/verification.md``).
-
 The ``build`` hook exists for the tests and for CI gates: injecting a
-deliberately corrupted schedule builder must make the harness report the
-corruption and shrink it — that is how the harness itself is verified.
+deliberately corrupted schedule builder must make the campaign report
+the corruption and shrink it — that is how the harness itself is
+verified.
 
-A second campaign, :func:`run_fault_fuzz`, fuzzes the *fault-injection
-loop* instead of schedule structure: it samples a mesh, a compute
-straggler, and benign noise faults, and checks that the Section 6.1
-top-down search still localises the straggler exactly.  Failures shrink
-to the minimal noise-fault set that breaks localisation.
+:data:`FAULT_CAMPAIGN` fuzzes the *fault-injection loop* instead of
+schedule structure: it samples a mesh, a compute straggler, and benign
+noise faults, and checks that the Section 6.1 top-down search still
+localises the straggler exactly.  Failures shrink to the minimal
+noise-fault set that breaks localisation.
+
+Both run on :func:`repro.verify.campaign.run_campaign`, which owns the
+sample-check-shrink loop, the shrink contract and determinism (see
+``docs/verification.md``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +51,7 @@ from repro.pp.registry import ScheduleEntry, schedule_entry, schedule_kinds
 from repro.pp.schedule import PipelineSchedule
 from repro.train.cost import StageCost
 from repro.train.executor import execute_pipeline
+from repro.verify.campaign import Campaign, Failure
 from repro.verify.invariants import (
     InvariantReport,
     Violation,
@@ -226,8 +226,8 @@ def check_config(
 
 
 def _shrink_candidates(config: FuzzConfig) -> List[FuzzConfig]:
-    """Strictly-smaller valid neighbours (same kind, still within the
-    kind's support set), biggest reduction first."""
+    """Valid neighbours (same kind, still within the kind's support
+    set)."""
     out: List[FuzzConfig] = []
     entry = _entry_or_none(config.kind)
 
@@ -237,9 +237,7 @@ def _shrink_candidates(config: FuzzConfig) -> List[FuzzConfig]:
         candidate = FuzzConfig(pp=pp, v=v, nc=nc, nmb=nmb,
                                zero=_rule_zero(pp, nc, nmb, config.kind),
                                kind=config.kind)
-        if entry is not None and entry.unsupported_reason(candidate.shape):
-            return
-        if candidate.cost < config.cost and candidate not in out:
+        if entry is None or not entry.unsupported_reason(candidate.shape):
             out.append(candidate)
 
     pp, v, nc, nmb = config.pp, config.v, config.nc, config.nmb
@@ -256,132 +254,48 @@ def _shrink_candidates(config: FuzzConfig) -> List[FuzzConfig]:
     add(pp, v - 1, nc, nmb)
     add(pp - 1, v, nc, nmb)
     add(1, v, nc, nmb)                 # no pipeline
-    return sorted(out, key=lambda c: c.cost)
+    return out
 
 
-def shrink_config(
-    config: FuzzConfig,
-    failing: Callable[[FuzzConfig], bool],
-) -> FuzzConfig:
-    """Greedily minimise a failing configuration.
-
-    Repeatedly replaces the config with its smallest still-failing
-    neighbour; terminates because every candidate strictly reduces
-    ``FuzzConfig.cost``.
-    """
-    if not failing(config):
-        raise ValueError(f"config {config.describe()} does not fail")
-    current = config
-    improved = True
-    while improved:
-        improved = False
-        for candidate in _shrink_candidates(current):
-            if failing(candidate):
-                current = candidate
-                improved = True
-                break
-    return current
+def _explain_config(failure: Failure) -> str:
+    return (f"{failure.case.describe()} shrinks to "
+            f"{failure.shrunk.describe()}" + "".join(
+                f"\n  violation [{v.check}]: {v.message}"
+                for v in failure.shrunk_evidence.violations))
 
 
-@dataclass(frozen=True)
-class FuzzFailure:
-    """One failing configuration with its minimal shrunk reproducer."""
-
-    config: FuzzConfig
-    report: InvariantReport
-    shrunk: FuzzConfig
-    shrunk_report: InvariantReport
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "violations": [v.to_dict() for v in self.report.violations],
-            "shrunk_config": self.shrunk.to_dict(),
-            "shrunk_violations": [
-                v.to_dict() for v in self.shrunk_report.violations],
-        }
-
-
-@dataclass(frozen=True)
-class FuzzResult:
-    """Outcome of one fuzz campaign."""
-
-    seed: int
-    cases: int
-    failed_cases: int
-    checks_run: Tuple[str, ...]
-    failures: Tuple[FuzzFailure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.failed_cases == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "cases": self.cases,
-            "failed_cases": self.failed_cases,
-            "ok": self.ok,
-            "checks_run": list(self.checks_run),
-            "failures": [f.to_dict() for f in self.failures],
-        }
-
-
-def run_fuzz(
-    cases: int,
-    seed: int = 0,
-    build: Optional[ScheduleBuilder] = None,
+def schedule_campaign(
     max_pp: int = 8,
-    max_v: int = 3,
     max_nmb: int = 16,
-    max_failures: int = 10,
     kinds: Optional[Sequence[str]] = None,
-) -> FuzzResult:
-    """Fuzz ``cases`` sampled configurations and shrink every failure.
+    build: Optional[ScheduleBuilder] = None,
+) -> Campaign[FuzzConfig, InvariantReport]:
+    """The schedule-config campaign.
 
     Each case draws its schedule kind from the registry (restricted to
     ``kinds`` when given — the CLI's ``--schedule`` pin and CI's
     per-kind matrix use this); ``build`` overrides the registry builder
-    for corruption-injection tests.  Stops collecting (but keeps
-    counting) after ``max_failures`` distinct shrunk reproducers — a
-    systematic bug fails hundreds of configs that all shrink to the
-    same handful of minimal cases.
+    for corruption-injection tests.  The result's ``checks_run`` lists
+    every invariant family that ran over the sampled cases.
     """
-    if cases < 1:
-        raise ValueError("cases must be >= 1")
-    rng = np.random.default_rng(seed)
-    failures: List[FuzzFailure] = []
-    seen_shrunk: Set[FuzzConfig] = set()
-    checks_run: Tuple[str, ...] = ()
-    failed_cases = 0
-    for _ in range(cases):
-        config = sample_config(rng, max_pp=max_pp, max_v=max_v,
-                               max_nmb=max_nmb, kinds=kinds)
+
+    def check(config: FuzzConfig) -> Tuple[bool, InvariantReport]:
         report = check_config(config, build)
-        checks_run = tuple(sorted(set(checks_run) | set(report.checks_run)))
-        if report.ok:
-            continue
-        failed_cases += 1
-        if len(failures) >= max_failures:
-            continue
-        shrunk = shrink_config(
-            config, lambda c: not check_config(c, build).ok)
-        if shrunk in seen_shrunk:
-            continue
-        seen_shrunk.add(shrunk)
-        failures.append(FuzzFailure(
-            config=config,
-            report=report,
-            shrunk=shrunk,
-            shrunk_report=check_config(shrunk, build),
-        ))
-    return FuzzResult(
-        seed=seed,
-        cases=cases,
-        failed_cases=failed_cases,
-        checks_run=checks_run,
-        failures=tuple(failures),
+        return report.ok, report
+
+    return Campaign(
+        sample=lambda rng: sample_config(rng, max_pp=max_pp,
+                                         max_nmb=max_nmb, kinds=kinds),
+        check=check,
+        shrink_candidates=_shrink_candidates,
+        case_key="config",
+        evidence_key="violations",
+        evidence_json=lambda r: [v.to_dict() for v in r.violations],
+        explain=_explain_config,
+        summarize=lambda reports: {"checks_run": sorted(
+            {c for r in reports for c in r.checks_run})},
     )
+
 
 # ----------------------------------------------------------------------
 # Fault-randomizing campaign: fuzz the Section 6.1 localisation loop
@@ -517,106 +431,28 @@ def check_fault_scenario(
     return ok, score
 
 
-def shrink_fault_scenario(
-    scenario: FaultScenario,
-    failing: Callable[[FaultScenario], bool],
-) -> FaultScenario:
-    """Greedily drop noise faults while the scenario still fails —
-    yields the minimal noise set that breaks localisation."""
-    if not failing(scenario):
-        raise ValueError(f"scenario {scenario.describe()} does not fail")
-    current = scenario
-    improved = True
-    while improved:
-        improved = False
-        for i in range(len(current.noise)):
-            candidate = dataclasses.replace(
-                current,
-                noise=current.noise[:i] + current.noise[i + 1:])
-            if failing(candidate):
-                current = candidate
-                improved = True
-                break
-    return current
+def _drop_one_noise_fault(scenario: FaultScenario) -> List[FaultScenario]:
+    """Every scenario with one noise fault dropped."""
+    return [dataclasses.replace(
+        scenario, noise=scenario.noise[:i] + scenario.noise[i + 1:])
+        for i in range(len(scenario.noise))]
 
 
-@dataclass(frozen=True)
-class FaultFuzzFailure:
-    """One localisation miss with its minimal shrunk reproducer."""
-
-    scenario: FaultScenario
-    score: DetectionScore
-    shrunk: FaultScenario
-    shrunk_score: DetectionScore
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "score": self.score.to_dict(),
-            "shrunk_scenario": self.shrunk.to_dict(),
-            "shrunk_score": self.shrunk_score.to_dict(),
-        }
+def _explain_scenario(failure: Failure) -> str:
+    score = failure.shrunk_evidence
+    return (f"{failure.case.describe()} shrinks to "
+            f"{failure.shrunk.describe()}\n"
+            f"  detected rank {score.detected_rank} ({score.attribution})")
 
 
-@dataclass(frozen=True)
-class FaultFuzzResult:
-    """Outcome of one fault-randomizing campaign."""
-
-    seed: int
-    cases: int
-    failed_cases: int
-    failures: Tuple[FaultFuzzFailure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.failed_cases == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "cases": self.cases,
-            "failed_cases": self.failed_cases,
-            "ok": self.ok,
-            "failures": [f.to_dict() for f in self.failures],
-        }
-
-
-def run_fault_fuzz(
-    cases: int,
-    seed: int = 0,
-    spec: WorkloadSpec = FAULT_FUZZ_WORKLOAD,
-    max_failures: int = 10,
-) -> FaultFuzzResult:
-    """Fuzz ``cases`` fault scenarios and shrink every localisation miss.
-
-    Deterministic like :func:`run_fuzz`: the same (cases, seed) visits
-    the same scenarios everywhere, so a failure's seed plus its shrunk
-    scenario is a complete reproduction recipe.
-    """
-    if cases < 1:
-        raise ValueError("cases must be >= 1")
-    rng = np.random.default_rng(seed)
-    failures: List[FaultFuzzFailure] = []
-    failed_cases = 0
-    for _ in range(cases):
-        scenario = sample_fault_scenario(rng)
-        ok, score = check_fault_scenario(scenario, spec)
-        if ok:
-            continue
-        failed_cases += 1
-        if len(failures) >= max_failures:
-            continue
-        shrunk = shrink_fault_scenario(
-            scenario, lambda s: not check_fault_scenario(s, spec)[0])
-        failures.append(FaultFuzzFailure(
-            scenario=scenario,
-            score=score,
-            shrunk=shrunk,
-            shrunk_score=check_fault_scenario(shrunk, spec)[1],
-        ))
-    return FaultFuzzResult(
-        seed=seed,
-        cases=cases,
-        failed_cases=failed_cases,
-        failures=tuple(failures),
-    )
+#: The fault-localisation campaign: failures shrink to the minimal
+#: noise-fault set that breaks localisation.
+FAULT_CAMPAIGN: Campaign[FaultScenario, DetectionScore] = Campaign(
+    sample=sample_fault_scenario,
+    check=check_fault_scenario,
+    shrink_candidates=_drop_one_noise_fault,
+    case_key="scenario",
+    evidence_key="score",
+    evidence_json=DetectionScore.to_dict,
+    explain=_explain_scenario,
+)

@@ -18,10 +18,11 @@ a small fixed workload; and check the invariants that must hold for
   contract that makes cross-policy comparisons exact), compared over
   the shared prefix.
 
-Failures shrink toward a minimal scenario (fewer steps, taxonomy
-fractions zeroed, simpler policy) exactly like the schedule and fault
-fuzzers, so a seed plus the shrunk scenario is a complete reproduction
-recipe for ``repro verify --resilience``.
+:data:`RESILIENCE_CAMPAIGN` runs on
+:func:`repro.verify.campaign.run_campaign` like every other campaign:
+failures shrink toward a minimal scenario (fewer steps, taxonomy
+fractions zeroed, simpler policy), so a seed plus the shrunk scenario is
+a complete reproduction recipe for ``repro verify --resilience``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.parallel.config import JobConfig
 from repro.resilience.failures import FailureTaxonomy
 from repro.resilience.policy import parse_policy
 from repro.resilience.run import RunConfig, simulate_run
+from repro.verify.campaign import Campaign, Failure
 
 #: Small fixed workload: 2 nodes of the paper's 8B shape keeps a full
 #: multi-step run (and its replans) to a handful of step pricings.
@@ -207,132 +209,48 @@ def check_resilience_scenario(
 def _shrink_candidates(
     scenario: ResilienceScenario,
 ) -> List[ResilienceScenario]:
-    """Strictly-smaller neighbours: fewer steps, taxonomy bands zeroed,
-    simpler policy/mitigation."""
+    """Neighbours: fewer steps, taxonomy bands zeroed, simpler
+    policy/mitigation."""
     out: List[ResilienceScenario] = []
-
-    def add(candidate: ResilienceScenario) -> None:
-        if candidate.cost < scenario.cost and candidate not in out:
-            out.append(candidate)
-
     if scenario.steps > 5:
-        add(replace(scenario, steps=max(5, scenario.steps // 2)))
-        add(replace(scenario, steps=scenario.steps - 1))
+        out.append(replace(scenario, steps=max(5, scenario.steps // 2)))
+        out.append(replace(scenario, steps=scenario.steps - 1))
     tax = scenario.taxonomy
     for field_name in ("rack_loss_fraction", "pod_loss_fraction",
                        "gray_fraction", "corruption_fraction"):
         if getattr(tax, field_name) > 0:
-            add(replace(scenario,
-                        taxonomy=replace(tax, **{field_name: 0.0})))
+            out.append(replace(scenario,
+                               taxonomy=replace(tax, **{field_name: 0.0})))
     if scenario.policy_spec != "young-daly":
-        add(replace(scenario, policy_spec="young-daly"))
+        out.append(replace(scenario, policy_spec="young-daly"))
     if scenario.mitigation != "tolerate":
-        add(replace(scenario, mitigation="tolerate"))
-    return sorted(out, key=lambda s: s.cost)
+        out.append(replace(scenario, mitigation="tolerate"))
+    return out
 
 
-def shrink_resilience_scenario(
-    scenario: ResilienceScenario, still_fails,
-) -> ResilienceScenario:
-    """Greedy descent to a minimal still-failing scenario."""
-    current = scenario
-    while True:
-        for candidate in _shrink_candidates(current):
-            if still_fails(candidate):
-                current = candidate
-                break
-        else:
-            return current
+def _explain(failure: Failure) -> str:
+    return (f"{failure.case.describe()} shrinks to "
+            f"{failure.shrunk.describe()}" + "".join(
+                f"\n  violation [{v['check']}]: {v['message']}"
+                for v in failure.shrunk_evidence))
 
 
-@dataclass(frozen=True)
-class ResilienceFuzzFailure:
-    """One invariant violation with its minimal shrunk reproducer."""
-
-    scenario: ResilienceScenario
-    violations: Tuple[dict, ...]
-    shrunk: ResilienceScenario
-    shrunk_violations: Tuple[dict, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "violations": [dict(v) for v in self.violations],
-            "shrunk_scenario": self.shrunk.to_dict(),
-            "shrunk_violations": [dict(v) for v in self.shrunk_violations],
-        }
-
-
-@dataclass(frozen=True)
-class ResilienceFuzzResult:
-    """Outcome of one taxonomy-sampling campaign."""
-
-    seed: int
-    cases: int
-    failed_cases: int
-    failures: Tuple[ResilienceFuzzFailure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.failed_cases == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "cases": self.cases,
-            "failed_cases": self.failed_cases,
-            "ok": self.ok,
-            "failures": [f.to_dict() for f in self.failures],
-        }
-
-
-def run_resilience_fuzz(
-    cases: int,
-    seed: int = 0,
-    max_failures: int = 10,
-) -> ResilienceFuzzResult:
-    """Fuzz ``cases`` resilient-run scenarios; shrink every violation.
-
-    Deterministic like the other campaigns: the same (cases, seed)
-    visits the same scenarios everywhere.
-    """
-    if cases < 1:
-        raise ValueError("cases must be >= 1")
-    rng = np.random.default_rng(seed)
-    failures: List[ResilienceFuzzFailure] = []
-    failed_cases = 0
-    for _ in range(cases):
-        scenario = sample_resilience_scenario(rng)
-        ok, violations = check_resilience_scenario(scenario)
-        if ok:
-            continue
-        failed_cases += 1
-        if len(failures) >= max_failures:
-            continue
-        shrunk = shrink_resilience_scenario(
-            scenario, lambda s: not check_resilience_scenario(s)[0])
-        failures.append(ResilienceFuzzFailure(
-            scenario=scenario,
-            violations=tuple(violations),
-            shrunk=shrunk,
-            shrunk_violations=tuple(
-                check_resilience_scenario(shrunk)[1]),
-        ))
-    return ResilienceFuzzResult(
-        seed=seed,
-        cases=cases,
-        failed_cases=failed_cases,
-        failures=tuple(failures),
-    )
+#: The taxonomy-sampling campaign; evidence is the list of violations.
+RESILIENCE_CAMPAIGN: Campaign[ResilienceScenario, List[dict]] = Campaign(
+    sample=sample_resilience_scenario,
+    check=check_resilience_scenario,
+    shrink_candidates=_shrink_candidates,
+    case_key="scenario",
+    evidence_key="violations",
+    evidence_json=lambda violations: [dict(v) for v in violations],
+    explain=_explain,
+)
 
 
 __all__ = [
     "POLICY_POOL",
-    "ResilienceFuzzFailure",
-    "ResilienceFuzzResult",
+    "RESILIENCE_CAMPAIGN",
     "ResilienceScenario",
     "check_resilience_scenario",
-    "run_resilience_fuzz",
     "sample_resilience_scenario",
-    "shrink_resilience_scenario",
 ]

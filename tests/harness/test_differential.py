@@ -98,8 +98,9 @@ class TestEngineFuzzEquivalence:
 
     @pytest.mark.slow
     def test_fuzz_500_sequences(self):
-        from repro.verify.engine_fuzz import EngineFuzzConfig, run_engine_fuzz
+        from repro.verify.campaign import run_campaign
+        from repro.verify.engine_fuzz import engine_campaign
 
-        result = run_engine_fuzz(EngineFuzzConfig(cases=500, seed=0))
-        assert result.cases_run == 500
-        assert not result.failures, result.failures[0].describe()
+        result = run_campaign(engine_campaign(), 500, seed=0)
+        assert result.cases == 500
+        assert not result.failures, result.failures[0].shrunk.describe()

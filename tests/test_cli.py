@@ -244,3 +244,29 @@ class TestScheduleFlag:
         assert main(["run", "--steps", "5", "--mtbf", "5000", "--seed", "0",
                      "--schedule", "1f1b-noninterleaved"]) == 0
         assert "goodput" in capsys.readouterr().out
+
+
+class TestVerifyUsageErrors:
+    """Degenerate ``verify`` input is a one-line usage error (exit 2),
+    never a traceback and never the exit 1 that means "a violation was
+    found"."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "-1"],
+        ["--faults", "--seed", "-1"],
+        ["--engine", "--seed", "-1"],
+        ["--resilience", "--seed", "-1"],
+        ["--max-pp", "0"],
+        ["--max-pp", "-3"],
+        ["--max-nmb", "0"],
+        ["--faults", "--schedule", "gpipe"],
+        ["--engine", "--max-pp", "4"],
+        ["--resilience", "--max-nmb", "8"],
+    ], ids="_".join)
+    def test_rejected_with_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--fuzz", "1", "--no-oracles",
+                  "--no-step-invariants", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and err.count("\n") == 1

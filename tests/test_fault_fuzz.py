@@ -16,12 +16,12 @@ from repro.cli import main
 from repro.faults import ComputeStraggler, PeriodicJitter
 from repro.obs.report import verify_report
 from repro.parallel.mesh import DeviceMesh
+from repro.verify.campaign import run_campaign, shrink
 from repro.verify.fuzz import (
+    FAULT_CAMPAIGN,
     FaultScenario,
     check_fault_scenario,
-    run_fault_fuzz,
     sample_fault_scenario,
-    shrink_fault_scenario,
 )
 
 #: Keep in lockstep with the ci.yml fault-fuzz job invocation.
@@ -34,13 +34,13 @@ def _json_out(capsys) -> dict:
 
 class TestCampaign:
     def test_deterministic_per_seed(self):
-        a = run_fault_fuzz(8, seed=5)
-        b = run_fault_fuzz(8, seed=5)
+        a = run_campaign(FAULT_CAMPAIGN, 8, seed=5)
+        b = run_campaign(FAULT_CAMPAIGN, 8, seed=5)
         assert a.to_dict() == b.to_dict()
-        assert run_fault_fuzz(8, seed=6).to_dict() != a.to_dict()
+        assert run_campaign(FAULT_CAMPAIGN, 8, seed=6).to_dict() != a.to_dict()
 
     def test_ci_campaign_is_clean(self):
-        result = run_fault_fuzz(CI_CASES, seed=CI_SEED)
+        result = run_campaign(FAULT_CAMPAIGN, CI_CASES, seed=CI_SEED)
         assert result.ok, (
             f"{result.failed_cases} localisation misses; first shrunk "
             f"reproducer: "
@@ -56,10 +56,6 @@ class TestCampaign:
             assert 0.4 <= s.extra_seconds < 0.8
             assert len(s.noise) <= 2
             s.plan.validate(mesh)  # raises on an out-of-mesh fault
-
-    def test_rejects_zero_cases(self):
-        with pytest.raises(ValueError):
-            run_fault_fuzz(0)
 
 
 class TestShrinking:
@@ -78,22 +74,16 @@ class TestShrinking:
         ok, score = check_fault_scenario(scenario)
         assert not ok and score.detected_rank == 6
 
-        shrunk = shrink_fault_scenario(
-            scenario, lambda s: not check_fault_scenario(s)[0])
+        shrunk = shrink(scenario, FAULT_CAMPAIGN.fails,
+                        FAULT_CAMPAIGN.shrink_candidates)
         assert shrunk.noise == (self.LOUD,)
         assert shrunk.cost < scenario.cost
-
-    def test_refuses_to_shrink_a_passing_scenario(self):
-        assert check_fault_scenario(self.BASE)[0]
-        with pytest.raises(ValueError, match="does not fail"):
-            shrink_fault_scenario(
-                self.BASE, lambda s: not check_fault_scenario(s)[0])
 
 
 class TestReportIntegration:
     def test_verify_report_folds_in_fault_fuzz(self):
-        result = run_fault_fuzz(4, seed=0)
-        rep = verify_report(None, (), fault_fuzz=result)
+        result = run_campaign(FAULT_CAMPAIGN, 4, seed=0)
+        rep = verify_report(result, (), key="fault_fuzz")
         assert rep["ok"] is result.ok
         assert rep["fault_fuzz"]["cases"] == 4
         assert "fuzz" not in rep

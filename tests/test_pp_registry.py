@@ -45,7 +45,13 @@ from repro.pp.zoo import build_zero_bubble_schedule, microbatch_permutation
 from repro.train.cost import StageCost
 from repro.train.executor import execute_pipeline
 from repro.train.step import simulate_step
-from repro.verify.fuzz import FuzzConfig, check_config, run_fuzz, sample_config
+from repro.verify.campaign import run_campaign
+from repro.verify.fuzz import (
+    FuzzConfig,
+    check_config,
+    sample_config,
+    schedule_campaign,
+)
 from repro.verify.invariants import run_invariants
 from repro.verify.oracles import oracle_bubble_regression
 
@@ -294,7 +300,7 @@ class TestFuzzKindSampling:
 
     @pytest.mark.parametrize("kind", schedule_kinds())
     def test_per_kind_campaign_is_clean(self, kind):
-        result = run_fuzz(15, seed=0, kinds=(kind,))
+        result = run_campaign(schedule_campaign(kinds=(kind,)), 15, seed=0)
         assert result.ok, result.failures
 
 

@@ -16,13 +16,12 @@ import pytest
 from repro.cli import main
 from repro.obs.report import verify_report
 from repro.sim.engine import Simulator
+from repro.verify.campaign import run_campaign, shrink
 from repro.verify.engine_fuzz import (
-    EngineFuzzConfig,
     check_case,
+    engine_campaign,
     load_reference_simulator,
-    run_engine_fuzz,
     sample_case,
-    shrink_case,
 )
 
 #: Tier-1 campaign size; the full 500-sequence acceptance campaign runs
@@ -50,17 +49,16 @@ class _CorruptedSimulator(Simulator):
 
 class TestCampaign:
     def test_deterministic_per_seed(self):
-        a = run_engine_fuzz(EngineFuzzConfig(cases=12, seed=5))
-        b = run_engine_fuzz(EngineFuzzConfig(cases=12, seed=5))
+        a = run_campaign(engine_campaign(), 12, seed=5)
+        b = run_campaign(engine_campaign(), 12, seed=5)
         assert a.to_dict() == b.to_dict()
 
     def test_ci_campaign_is_clean(self):
-        result = run_engine_fuzz(EngineFuzzConfig(cases=CI_CASES,
-                                                  seed=CI_SEED))
+        result = run_campaign(engine_campaign(), CI_CASES, seed=CI_SEED)
         assert result.ok, (
             f"{result.failed_cases} divergences; first: "
-            f"{result.failures[0].describe() if result.failures else '-'}")
-        assert result.cases_run == CI_CASES
+            f"{result.failures[0].shrunk.describe() if result.failures else '-'}")
+        assert result.cases == CI_CASES
 
     def test_sampler_draws_valid_sequences(self):
         rng = np.random.default_rng(123)
@@ -80,33 +78,29 @@ class TestCampaign:
 
 class TestCorruptedEngine:
     def test_detects_and_shrinks_a_corrupted_engine(self):
-        result = run_engine_fuzz(EngineFuzzConfig(cases=30, seed=0),
-                                 engine=_CorruptedSimulator)
+        result = run_campaign(engine_campaign(engine=_CorruptedSimulator),
+                              30, seed=0)
         assert not result.ok
         assert result.failed_cases > 0
         failure = result.failures[0]
-        assert failure.problems and failure.shrunk_problems
+        assert failure.evidence and failure.shrunk_evidence
         assert failure.shrunk.cost <= failure.case.cost
         # The minimal reproducer still diverges on its own.
         assert check_case(failure.shrunk, load_reference_simulator(),
                           engine=_CorruptedSimulator)
 
     def test_shrinker_strictly_minimises(self):
-        reference_cls = load_reference_simulator()
+        campaign = engine_campaign(engine=_CorruptedSimulator)
         rng = np.random.default_rng(7)
         # Find a diverging case for the corrupted engine, then shrink it.
         case = None
         for _ in range(50):
             candidate = sample_case(rng)
-            if check_case(candidate, reference_cls,
-                          engine=_CorruptedSimulator):
+            if campaign.fails(candidate):
                 case = candidate
                 break
         assert case is not None, "sampler never drew a duration > 1.0"
-        shrunk = shrink_case(
-            case,
-            lambda c: bool(check_case(c, reference_cls,
-                                      engine=_CorruptedSimulator)))
+        shrunk = shrink(case, campaign.fails, campaign.shrink_candidates)
         # Minimal: dropping any further submission makes it pass, so the
         # shrunk sequence is dominated by the single corrupted run op.
         assert len(shrunk.ops) <= 2
@@ -123,16 +117,16 @@ class TestCorruptedEngine:
 
 class TestReportIntegration:
     def test_verify_report_folds_in_engine_fuzz(self):
-        result = run_engine_fuzz(EngineFuzzConfig(cases=4, seed=0))
-        rep = verify_report(None, (), engine_fuzz=result)
+        result = run_campaign(engine_campaign(), 4, seed=0)
+        rep = verify_report(result, (), key="engine_fuzz")
         assert rep["ok"] is result.ok
         assert rep["engine_fuzz"]["cases"] == 4
         assert "fuzz" not in rep and "fault_fuzz" not in rep
 
     def test_failing_engine_fuzz_fails_the_report(self):
-        result = run_engine_fuzz(EngineFuzzConfig(cases=30, seed=0),
-                                 engine=_CorruptedSimulator)
-        rep = verify_report(None, (), engine_fuzz=result)
+        result = run_campaign(engine_campaign(engine=_CorruptedSimulator),
+                              30, seed=0)
+        rep = verify_report(result, (), key="engine_fuzz")
         assert rep["ok"] is False
         assert rep["engine_fuzz"]["failed_cases"] > 0
         assert rep["engine_fuzz"]["failures"][0]["shrunk_case"]["ops"]

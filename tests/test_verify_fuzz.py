@@ -9,13 +9,13 @@ from repro.pp.schedule import (
     PipelineSchedule,
     build_flexible_schedule,
 )
+from repro.verify.campaign import run_campaign, shrink, shrink_moves
 from repro.verify.fuzz import (
     FuzzConfig,
     _shrink_candidates,
     check_config,
-    run_fuzz,
     sample_config,
-    shrink_config,
+    schedule_campaign,
 )
 
 
@@ -46,19 +46,18 @@ class TestCleanFuzz:
     def test_200_configs_zero_violations(self):
         """The acceptance bar: 200 seeded configs over (pp in 1..8,
         nmb in 1..16, nc a divisor of nmb) produce no violations."""
-        result = run_fuzz(200, seed=0)
-        assert result.ok, [
-            f.to_dict() for f in result.failures]
+        result = run_campaign(schedule_campaign(), 200, seed=0)
+        assert result.ok, result.to_dict()["failures"]
         assert result.cases == 200
         assert result.failed_cases == 0
         # Every catalog family actually ran.
-        assert set(result.checks_run) >= {
+        assert set(result.summary["checks_run"]) >= {
             "conservation", "program-order", "send-before-recv",
             "stream-overlap", "warmup-depth", "zero-schedule"}
 
     def test_other_seeds_also_clean(self):
         for seed in (1, 2):
-            assert run_fuzz(50, seed=seed).ok
+            assert run_campaign(schedule_campaign(), 50, seed=seed).ok
 
 
 def _drop_first_backward(shape: ScheduleShape) -> PipelineSchedule:
@@ -104,15 +103,16 @@ class TestCorruptionCaught:
     def test_fuzz_catches_and_shrinks_corruption(self):
         """A corrupted generator must be caught by the campaign and
         shrunk to a minimal config that still reproduces it."""
-        result = run_fuzz(60, seed=0, build=_drop_first_backward)
+        campaign = schedule_campaign(build=_drop_first_backward)
+        result = run_campaign(campaign, 60, seed=0)
         assert not result.ok
         assert result.failures, "failures must carry shrunk reproducers"
         for failure in result.failures:
             # The shrunk config still fails, and no smaller neighbour
             # does — i.e. it is locally minimal.
-            assert not failure.shrunk_report.ok
-            assert failure.shrunk.cost <= failure.config.cost
-            for smaller in _shrink_candidates(failure.shrunk):
+            assert not failure.shrunk_evidence.ok
+            assert failure.shrunk.cost <= failure.case.cost
+            for smaller in shrink_moves(failure.shrunk, _shrink_candidates):
                 assert check_config(smaller, _drop_first_backward).ok
 
     def test_hoisted_backward_caught(self):
@@ -127,25 +127,20 @@ class TestCorruptionCaught:
         def failing(c):
             return not check_config(c, _drop_first_backward).ok
 
-        shrunk = shrink_config(cfg, failing)
+        shrunk = shrink(cfg, failing, _shrink_candidates)
         assert failing(shrunk)
         # Dropping a backward fails for any config, so the shrinker must
         # reach the global minimum.
         assert (shrunk.pp, shrunk.v, shrunk.nc, shrunk.nmb) == (1, 1, 1, 1)
 
-    def test_shrink_rejects_passing_config(self):
-        with pytest.raises(ValueError):
-            shrink_config(FuzzConfig(pp=2, v=1, nc=2, nmb=4),
-                          lambda c: False)
-
 
 class TestDeterminism:
     def test_same_seed_same_result(self):
-        a = run_fuzz(40, seed=5)
-        b = run_fuzz(40, seed=5)
+        a = run_campaign(schedule_campaign(), 40, seed=5)
+        b = run_campaign(schedule_campaign(), 40, seed=5)
         assert a == b
 
     def test_result_is_json_able(self):
         import json
 
-        json.dumps(run_fuzz(10, seed=0).to_dict())
+        json.dumps(run_campaign(schedule_campaign(), 10, seed=0).to_dict())

@@ -16,7 +16,8 @@ from repro.pp.schedule import (
 )
 from repro.train.cost import StageCost
 from repro.train.executor import execute_pipeline
-from repro.verify.fuzz import run_fuzz
+from repro.verify.campaign import run_campaign
+from repro.verify.fuzz import schedule_campaign
 from repro.verify.invariants import (
     check_conservation,
     check_send_before_recv,
@@ -102,10 +103,10 @@ class TestWarmupOffByOneCaught:
                    for v in violations)
 
     def test_fuzz_catches_and_shrinks_it(self, off_by_one):
-        result = run_fuzz(60, seed=0)
+        result = run_campaign(schedule_campaign(), 60, seed=0)
         assert not result.ok
         failure = result.failures[0]
-        assert not failure.shrunk_report.ok
+        assert not failure.shrunk_evidence.ok
         # The off-by-one reproduces at the smallest non-capped config
         # (nmb=2 keeps actual=2 distinct from the expected depth of 1;
         # bs=2 == 2*pp puts ZeRO-1 in scope, harmlessly).  The shrink
@@ -114,12 +115,12 @@ class TestWarmupOffByOneCaught:
             "kind": "1f1b", "pp": 1, "v": 1, "nc": 1, "nmb": 2,
             "zero": "ZERO_1"}
         assert "warmup-depth" in {
-            v.check for v in failure.shrunk_report.violations}
+            v.check for v in failure.shrunk_evidence.violations}
 
     def test_verify_report_goes_red(self, off_by_one):
         from repro.obs.report import verify_report
 
-        report = verify_report(run_fuzz(30, seed=0))
+        report = verify_report(run_campaign(schedule_campaign(), 30, seed=0))
         assert report["ok"] is False
         shrunk = report["fuzz"]["failures"][0]["shrunk_config"]
         assert shrunk == {"kind": "1f1b", "pp": 1, "v": 1, "nc": 1,

@@ -4,15 +4,14 @@ checking over random taxonomies/policies, and shrinking."""
 import dataclasses
 
 import numpy as np
-import pytest
 
+from repro.verify.campaign import run_campaign, shrink
 from repro.verify.resilience_fuzz import (
     POLICY_POOL,
+    RESILIENCE_CAMPAIGN,
     ResilienceScenario,
     check_resilience_scenario,
-    run_resilience_fuzz,
     sample_resilience_scenario,
-    shrink_resilience_scenario,
 )
 
 
@@ -44,25 +43,21 @@ class TestSampling:
 
 class TestCampaign:
     def test_small_campaign_is_clean(self):
-        result = run_resilience_fuzz(8, seed=0)
+        result = run_campaign(RESILIENCE_CAMPAIGN, 8, seed=0)
         assert result.ok
         assert result.cases == 8
         assert result.failed_cases == 0
         assert result.failures == ()
 
     def test_campaign_is_deterministic(self):
-        a = run_resilience_fuzz(4, seed=3)
-        b = run_resilience_fuzz(4, seed=3)
+        a = run_campaign(RESILIENCE_CAMPAIGN, 4, seed=3)
+        b = run_campaign(RESILIENCE_CAMPAIGN, 4, seed=3)
         assert a.to_dict() == b.to_dict()
 
     def test_to_dict_shape(self):
-        d = run_resilience_fuzz(2, seed=1).to_dict()
+        d = run_campaign(RESILIENCE_CAMPAIGN, 2, seed=1).to_dict()
         assert set(d) == {"seed", "cases", "failed_cases", "ok",
                           "failures"}
-
-    def test_cases_must_be_positive(self):
-        with pytest.raises(ValueError):
-            run_resilience_fuzz(0)
 
 
 class TestChecker:
@@ -89,7 +84,8 @@ class TestShrinking:
             return s.taxonomy.gray_fraction > 0
 
         assert fails_iff_gray(scenario)
-        shrunk = shrink_resilience_scenario(scenario, fails_iff_gray)
+        shrunk = shrink(scenario, fails_iff_gray,
+                        RESILIENCE_CAMPAIGN.shrink_candidates)
         # Everything irrelevant got simplified away...
         assert shrunk.steps == 5
         assert shrunk.policy_spec == "young-daly"
