@@ -7,10 +7,10 @@ Two measurements back the EP path (see docs/moe.md):
    dedicated ``ep`` stream, at a pinned events/sec floor.  Exercises
    the batched per-rank collective accounting across many small groups
    (the EP shape) rather than one world-spanning group.
-2. **Folded-replica EP step** — a full MoE ``simulate_step`` at the
-   paper's headline scale (131,072 ranks): the DP replicas fold, the
-   EP all-to-alls land on their own stream, and the wall-clock stays
-   interactive.
+2. **131K-rank EP step** — a full MoE ``simulate_step`` at the paper's
+   headline scale (131,072 ranks): one program per pipeline rank stands
+   for its whole tp/cp/ep/dp slice, the EP all-to-alls land on their
+   own stream, and the wall-clock stays interactive.
 
 Writes ``benchmarks/results/BENCH_ep.json`` (events/sec, elapsed,
 step numbers) for the CI ``ep-smoke`` job to upload; the pinned floors
@@ -36,7 +36,7 @@ EP = 8
 
 #: Pinned floors/ceilings (generous vs observed local rates so cold CI
 #: runners pass, tight enough that losing the batched collective path
-#: or replica folding fails).
+#: or simulating per rank instead of per pipeline stage fails).
 FLOOR_A2A_EPS = 100_000.0
 CEIL_STEP_SECONDS = 20.0
 
@@ -77,7 +77,8 @@ def test_131k_rank_all_to_all(report):
 
 
 def test_folded_ep_step_131k(report):
-    """End-to-end MoE step at 131,072 ranks via replica folding."""
+    """End-to-end MoE step at 131,072 ranks, kept cheap by simulating one
+    program per pipeline rank for the whole tp/cp/ep/dp slice."""
     model = LLAMA3_8B.moe_variant(EP)
     par = ParallelConfig(tp=2, cp=1, ep=EP, pp=16,
                          dp=WORLD // (2 * EP * 16))

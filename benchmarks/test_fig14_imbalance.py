@@ -28,7 +28,9 @@ def test_fig14_fleet_imbalance(report, benchmark):
     sorted_compute = np.sort(rep.compute_seconds)
     sorted_attn = np.sort(rep.attention_seconds)
     n = len(sorted_compute)
-    pct = lambda arr, q: arr[int(q * (n - 1))]
+
+    def pct(arr, q):
+        return arr[int(q * (n - 1))]
 
     report.line("Figure 14: per-GPU time distributions "
                 "(1024 GPUs, cp=16, seq 131K, heavy-tailed documents)")

@@ -2,9 +2,10 @@
 
 Simulates the full detect/restore machinery — correlated failure
 domains, three checkpoint tiers, elastic accounting — on a 131K-rank
-(128 * 1024) Llama 3 405B run.  The run simulator prices segments with
-the folded fast-path engine, so a 100-step fleet simulation at 131K
-ranks is sub-second; the pinned events/sec floor fails the CI job if
+(128 * 1024) Llama 3 405B run.  The run simulator prices each segment
+with one step simulation (one program per pipeline rank for the whole
+tp/cp/dp slice), so a 100-step fleet simulation at 131K ranks is
+sub-second; the pinned events/sec floor fails the CI job if
 the tiered bookkeeping ever turns per-step work into per-rank work.
 
 Writes ``benchmarks/results/BENCH_resilience_tiered.json`` for the CI
@@ -37,7 +38,7 @@ CLUSTER = grand_teton(WORLD)
 STEPS = 100
 
 #: Conservative floor (observed locally ~1,000 timeline events/sec,
-#: dominated by the two folded 131K-rank step pricings).
+#: dominated by the two 131K-rank step pricings).
 FLOOR_EVENTS_PER_SECOND = 100.0
 
 

@@ -73,7 +73,7 @@ def hybrid_training() -> None:
     tokens = rng.integers(0, cfg.vocab, (trainer.global_batch, 12))
     targets = rng.integers(0, cfg.vocab, (trainer.global_batch, 12))
     losses = trainer.train(tokens, targets, steps=6, lr=0.3)
-    print("loss curve:", " -> ".join(f"{l:.3f}" for l in losses))
+    print("loss curve:", " -> ".join(f"{loss:.3f}" for loss in losses))
 
 
 if __name__ == "__main__":

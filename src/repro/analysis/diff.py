@@ -20,7 +20,7 @@ rather than bucketed as a cause.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 #: Event kinds that carry attributable duration (see module docstring).
 ALIGN_KINDS = ("comm", "compute")

@@ -52,11 +52,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, NoReturn, Optional
+from typing import List, NoReturn, Optional, Tuple
 
 import numpy as np
 
-from repro.hardware.cluster import grand_teton
+from repro.hardware.cluster import ClusterSpec, grand_teton
 from repro.model import config as model_config
 from repro.model.config import TextModelConfig
 from repro.parallel.config import JobConfig, ParallelConfig, ZeroStage
@@ -90,6 +90,25 @@ def _print_json(report: dict) -> None:
     from repro.obs.report import render_json
 
     print(render_json(report))
+
+
+def _cluster(ngpu: int) -> ClusterSpec:
+    try:
+        return grand_teton(ngpu)
+    except ValueError as err:
+        _fail(str(err))
+
+
+def _job_and_cluster(
+    args: argparse.Namespace,
+) -> Tuple[JobConfig, ClusterSpec]:
+    """The job named by ``--seq/--gbs/--ngpu`` and its Grand Teton
+    cluster; invalid sizes are usage errors."""
+    cluster = _cluster(args.ngpu)
+    try:
+        return JobConfig(seq=args.seq, gbs=args.gbs, ngpu=args.ngpu), cluster
+    except ValueError as err:
+        _fail(str(err))
 
 
 def _step_parallel(args: argparse.Namespace) -> ParallelConfig:
@@ -144,11 +163,13 @@ def _add_step_parallel_args(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    cluster = grand_teton(args.ngpu)
-    job = JobConfig(seq=args.seq, gbs=args.gbs, ngpu=args.ngpu)
-    plan = plan_parallelism(_moe_model(args), job, cluster,
-                            cost_aware=args.cost_aware,
-                            schedule_kind=args.schedule)
+    job, cluster = _job_and_cluster(args)
+    try:
+        plan = plan_parallelism(_moe_model(args), job, cluster,
+                                cost_aware=args.cost_aware,
+                                schedule_kind=args.schedule)
+    except ValueError as err:
+        _fail(str(err))
     if args.json:
         from repro.obs.report import plan_report
 
@@ -176,14 +197,16 @@ def cmd_step(args: argparse.Namespace) -> int:
     from repro.obs.metrics import MetricsRegistry
     from repro.train.step import simulate_step
 
-    cluster = grand_teton(args.ngpu)
-    job = JobConfig(seq=args.seq, gbs=args.gbs, ngpu=args.ngpu)
+    job, cluster = _job_and_cluster(args)
     model = _moe_model(args)
     par = _step_parallel(args)
     metrics = MetricsRegistry()
-    rep = simulate_step(model, par, job, cluster,
-                        schedule_kind=args.schedule, metrics=metrics,
-                        stage_preset=getattr(args, "stage_preset", None))
+    try:
+        rep = simulate_step(model, par, job, cluster,
+                            schedule_kind=args.schedule, metrics=metrics,
+                            stage_preset=getattr(args, "stage_preset", None))
+    except ValueError as err:
+        _fail(str(err))
     if args.trace:
         _export_step_trace(rep, par, args.trace)
     if args.json:
@@ -223,7 +246,7 @@ def cmd_phases(args: argparse.Namespace) -> int:
         plan_pretraining,
     )
 
-    cluster = grand_teton(args.ngpu)
+    cluster = _cluster(args.ngpu)
     phases = LLAMA3_405B_PHASES
     if args.phase:
         try:
@@ -250,10 +273,12 @@ def cmd_phases(args: argparse.Namespace) -> int:
 
 
 def cmd_ordering(args: argparse.Namespace) -> int:
-    cluster = grand_teton(args.ngpu)
-    job = JobConfig(seq=args.seq, gbs=args.gbs, ngpu=args.ngpu)
+    job, cluster = _job_and_cluster(args)
     model = _moe_model(args)
     par = ParallelConfig(tp=args.tp, cp=args.cp, pp=args.pp, dp=args.dp)
+    if par.world_size != job.ngpu:
+        _fail(f"tp*cp*pp*dp = {par.world_size} must equal "
+              f"ngpu = {job.ngpu}")
     scores = rank_orderings(model, par, job, cluster)
     for s in scores:
         marker = "  <- paper" if s.order == PAPER_ORDER else ""
@@ -265,12 +290,15 @@ def cmd_ordering(args: argparse.Namespace) -> int:
 def cmd_imbalance(args: argparse.Namespace) -> int:
     from repro.cp.imbalance import simulate_fleet_imbalance
 
-    cluster = grand_teton(args.ngpu)
-    rep = simulate_fleet_imbalance(
-        cluster, seq=args.seq, cp=args.cp, n_dp_groups=args.dp,
-        steps=args.steps, mean_doc_len=args.mean_doc,
-        rng=np.random.default_rng(args.seed),
-    )
+    cluster = _cluster(args.ngpu)
+    try:
+        rep = simulate_fleet_imbalance(
+            cluster, seq=args.seq, cp=args.cp, n_dp_groups=args.dp,
+            steps=args.steps, mean_doc_len=args.mean_doc,
+            rng=np.random.default_rng(args.seed),
+        )
+    except ValueError as err:
+        _fail(str(err))
     if args.json:
         from repro.obs.report import imbalance_report
 
@@ -404,8 +432,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     from repro.train.step import simulate_step
 
-    cluster = grand_teton(args.ngpu)
-    job = JobConfig(seq=args.seq, gbs=args.gbs, ngpu=args.ngpu)
+    job, cluster = _job_and_cluster(args)
     model = _moe_model(args)
     par = _step_parallel(args)
     plan = None
@@ -519,8 +546,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     from repro.obs.metrics import MetricsRegistry
     from repro.sim.engine import Simulator
 
-    cluster = grand_teton(args.ngpu)
-    job = JobConfig(seq=args.seq, gbs=args.gbs, ngpu=args.ngpu)
+    job, cluster = _job_and_cluster(args)
     model = _moe_model(args)
     par = _step_parallel(args)
     if args.fault:
@@ -626,8 +652,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         simulate_run,
     )
 
-    cluster = grand_teton(args.ngpu)
-    job = JobConfig(seq=args.seq, gbs=args.gbs, ngpu=args.ngpu)
+    job, cluster = _job_and_cluster(args)
     model = _moe_model(args)
     try:
         if args.topology is not None:

@@ -114,6 +114,10 @@ def simulate_fleet_imbalance(
     """
     if not 0.0 < attention_share < 1.0:
         raise ValueError("attention_share must be in (0, 1)")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1 (got {steps})")
+    if n_dp_groups < 1:
+        raise ValueError(f"n_dp_groups must be >= 1 (got {n_dp_groups})")
     if rng is None:
         rng = np.random.default_rng(7)
 

@@ -356,7 +356,15 @@ def plan_parallelism(
         rationale.append("cp=1: gbs is large enough that bs >= pp without CP")
 
     dp = job.ngpu // (tp * cp * ep * pp)
-    if dp < 1 or tp * cp * ep * pp * dp != job.ngpu:
+    if dp < 1:
+        # Step 3 keeps tp*ep*pp <= ngpu, so only CP can overflow the job.
+        raise ValueError(
+            f"gbs={job.gbs} is too small for ngpu={job.ngpu}: bs >= pp "
+            f"needs cp={cp} (ngpu/(gbs*tp) = {cp_needed:.0f}, rounded up to "
+            f"a power of two), and tp*cp*ep*pp = {tp * cp * ep * pp} "
+            f"exceeds ngpu"
+        )
+    if tp * cp * ep * pp * dp != job.ngpu:
         raise ValueError(
             f"ngpu={job.ngpu} not divisible by tp*cp*ep*pp = "
             f"{tp * cp * ep * pp}"

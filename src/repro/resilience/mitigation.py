@@ -33,7 +33,6 @@ simulate_run`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

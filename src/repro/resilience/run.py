@@ -74,12 +74,7 @@ from repro.resilience.mitigation import (
     gray_fault_plan,
     localise_gray_fault,
 )
-from repro.resilience.policy import (
-    CheckpointPolicy,
-    YoungDaly,
-    checkpoint_read_seconds,
-    checkpoint_write_seconds,
-)
+from repro.resilience.policy import CheckpointPolicy, YoungDaly
 from repro.resilience.tiers import (
     TIER_NAMES,
     TieredCheckpoint,
@@ -170,10 +165,18 @@ class FleetSegment:
     plan: Plan
     step_seconds: float
     straggler_extra_seconds: float
-    checkpoint_write_seconds: float
-    checkpoint_read_seconds: float
     tier_write_seconds: Dict[str, float] = field(default_factory=dict)
     tier_read_seconds: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def checkpoint_write_seconds(self) -> float:
+        """Single-tier checkpoint write: the remote tier's price."""
+        return self.tier_write_seconds["remote"]
+
+    @property
+    def checkpoint_read_seconds(self) -> float:
+        """Single-tier checkpoint restore: the remote tier's price."""
+        return self.tier_read_seconds["remote"]
 
     def to_dict(self) -> dict:
         par = self.plan.parallel
@@ -275,10 +278,6 @@ def _price_segment(
         step_seconds=healthy.step_seconds,
         straggler_extra_seconds=max(
             straggled.step_seconds - healthy.step_seconds, 0.0),
-        checkpoint_write_seconds=checkpoint_write_seconds(
-            model, cluster, ngpu),
-        checkpoint_read_seconds=checkpoint_read_seconds(
-            model, cluster, ngpu),
         tier_write_seconds={
             tier: tier_write_seconds(tier, model, cluster, ngpu)
             for tier in TIER_NAMES},
@@ -459,8 +458,7 @@ def simulate_run(
 
     def write_checkpoint(tier: str, extra_tags: tuple = ()) -> None:
         nonlocal t, corruption_onset
-        cost = (seg.checkpoint_write_seconds if not tiered_mode
-                else seg.tier_write_seconds[tier])
+        cost = seg.tier_write_seconds[tier]
         emit("io", cost, ckpt_name(tier, done), "io",
              ("checkpoint",) + ((tier,) if tiered_mode else ())
              + extra_tags)
@@ -488,8 +486,7 @@ def simulate_run(
         buckets["restart"] += config.restart_overhead_seconds
         t += config.restart_overhead_seconds
         if rec is not None:
-            cost = (seg.checkpoint_read_seconds if not tiered_mode
-                    else seg.tier_read_seconds[rec["tier"]])
+            cost = seg.tier_read_seconds[rec["tier"]]
             emit("io", cost, restore_name(rec["tier"], restore_step),
                  "io", ("restart", "restore"))
             buckets["restart"] += cost
@@ -651,9 +648,7 @@ def simulate_run(
         extra_per_step = 0.0
         evictable = True
         if drain_tier is not None:
-            write = (seg.checkpoint_write_seconds if not tiered_mode
-                     else seg.tier_write_seconds[drain_tier])
-            fixed += write
+            fixed += seg.tier_write_seconds[drain_tier]
         else:
             fixed += (done - floor) * seg.step_seconds
         if config.elastic:
@@ -671,8 +666,7 @@ def simulate_run(
         read_tier = drain_tier if drain_tier is not None else (
             rec["tier"] if rec is not None else None)
         if read_tier is not None:
-            fixed += (new_seg.checkpoint_read_seconds if not tiered_mode
-                      else new_seg.tier_read_seconds[read_tier])
+            fixed += new_seg.tier_read_seconds[read_tier]
         decision, tolerate_cost, evict_cost = choose_mitigation(
             tax, remaining, fixed, extra_per_step)
         if not evictable:

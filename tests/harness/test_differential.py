@@ -13,11 +13,11 @@ import pytest
 from repro.analysis.critical_path import extract_critical_path
 from repro.hardware.cluster import grand_teton
 from repro.model.config import LLAMA3_8B
-from repro.sim.engine import RankFold, Simulator
+from repro.sim.engine import Simulator
 from repro.train.step import simulate_step
 from tests.harness.diffing import compare_simulators, floats_identical
 from tests.harness.reference_engine import ReferenceSimulator
-from tests.harness.workloads import FOLD_WORKLOADS, STANDARD_MESHES
+from tests.harness.workloads import STANDARD_MESHES
 
 
 class TestWorkloadEquivalence:
@@ -55,42 +55,6 @@ class TestCriticalPathEquivalence:
         assert ref_path.entries == fast_path.entries
         assert ref_path.near_critical == fast_path.near_critical
         assert ref_path.slack_by_uid == fast_path.slack_by_uid
-
-
-class TestFoldEquivalence:
-    """Folded fast engine == reference replaying every replica explicitly."""
-
-    @pytest.mark.parametrize(
-        "name,replicas,stride,fn", FOLD_WORKLOADS,
-        ids=[w[0] for w in FOLD_WORKLOADS])
-    def test_fold_matches_explicit_replicas(self, name, replicas, stride, fn):
-        reference = ReferenceSimulator()
-        for k in range(replicas):
-            fn(reference, k * stride)
-
-        folded = Simulator(fold=RankFold(replicas=replicas, stride=stride))
-        fn(folded, 0)
-
-        problems = compare_simulators(
-            reference, folded,
-            ranks=range(replicas * stride))
-        assert not problems, "\n".join(problems)
-
-    def test_fold_rejects_out_of_replica_ranks(self):
-        sim = Simulator(fold=RankFold(replicas=4, stride=2))
-        with pytest.raises(ValueError, match="base replica"):
-            sim.run(2, "compute", 1.0, "oops")
-        with pytest.raises(ValueError, match="base replica"):
-            sim.run_collective([0, 3], "comm", 1.0, "oops")
-
-    def test_fold_unseen_rank_reads_zero(self):
-        sim = Simulator(fold=RankFold(replicas=2, stride=4))
-        sim.run(0, "compute", 1.0, "a")
-        # Rank 9 is outside the folded world: same answers as an
-        # unfolded engine gives for a never-seen rank.
-        assert sim.now(9, "compute") == 0.0
-        assert sim.events_for(9) == []
-        assert sim.busy_time(9) == 0.0
 
 
 class TestEngineFuzzEquivalence:

@@ -187,6 +187,23 @@ def wl_skewed_collectives(sim) -> None:
         sim.run(r, "compute", 0.05, "tail", after=[deps[r][0]])
 
 
+def wl_replica_groups(sim) -> None:
+    """Eight DP replicas of four ranks, each submitted explicitly at
+    offset ``k * 4``: identical timings, rank-shifted collective groups."""
+    for k in range(8):
+        ranks = [k * 4 + r for r in range(4)]
+        prev = {}
+        for step in range(3):
+            for i, r in enumerate(ranks):
+                prev[r] = sim.run(r, "compute", 0.2 + 0.01 * i,
+                                  f"fwd:s{step}")
+            sim.run_collective(ranks, "tp", 0.05, f"ag:s{step}",
+                               after={r: [prev[r]] for r in ranks})
+            sim.run_collective(ranks[:2], "tp", 0.03, f"rs_a:s{step}")
+            sim.run_collective(ranks[2:], "tp", 0.03, f"rs_b:s{step}")
+        sim.run(ranks[1], "compute", 0.0, "zero")
+
+
 # ----------------------------------------------------------------------
 # Timeline splicing edge cases
 # ----------------------------------------------------------------------
@@ -250,39 +267,9 @@ DIFFERENTIAL_WORKLOADS: Tuple[Workload, ...] = tuple(
         Workload("modifier_chains", wl_modifier_chains),
         Workload("retry_ladders", wl_retry_ladders),
         Workload("skewed_collectives", wl_skewed_collectives),
+        Workload("replica_groups", wl_replica_groups),
         Workload("record_splices", wl_record_splices),
         Workload("resilience_run", wl_resilience_run),
         Workload("resilience_no_checkpoint", wl_resilience_no_checkpoint),
     ]
-)
-
-
-# ----------------------------------------------------------------------
-# Rank-symmetry folding scenarios
-# ----------------------------------------------------------------------
-
-def wl_fold_replica(sim, offset: int) -> None:
-    """One DP replica's worth of submissions, shifted by ``offset``.
-
-    The fold tests submit this once (offset 0) into a folded fast
-    engine and once per replica (offset = k * stride) into the
-    reference, then diff the fanned-out timelines.
-    """
-    ranks = [offset + r for r in range(4)]
-    prev = {}
-    for step in range(3):
-        for r in ranks:
-            prev[r] = sim.run(r, "compute", 0.2 + 0.01 * (r - offset),
-                              f"fwd:s{step}")
-        sim.run_collective(ranks, "tp", 0.05, f"ag:s{step}",
-                           after={r: [prev[r]] for r in ranks})
-        sim.run_collective(ranks[:2], "tp", 0.03, f"rs_a:s{step}")
-        sim.run_collective(ranks[2:], "tp", 0.03, f"rs_b:s{step}")
-    sim.run(ranks[1], "compute", 0.0, "zero")
-
-
-#: (name, replicas, stride, fn(sim, offset)).
-FOLD_WORKLOADS: Tuple[Tuple[str, int, int, Callable], ...] = (
-    ("dp8_replicas", 8, 4, wl_fold_replica),
-    ("dp1_degenerate", 1, 4, wl_fold_replica),
 )

@@ -114,6 +114,47 @@ class TestRunValidation:
         assert main(["run", "--steps", "3", "--mtbf", "1e9"]) == 0
 
 
+#: (argv, fragment of the one-line error) for degenerate job input.
+JOB_USAGE_ERRORS = [
+    (["plan", "--ngpu", "12"], "multiple of 8"),
+    (["step", "--ngpu", "12"], "multiple of 8"),
+    (["analyze", "--ngpu", "12"], "multiple of 8"),
+    (["faults", "--ngpu", "12"], "multiple of 8"),
+    (["run", "--ngpu", "12", "--steps", "3"], "multiple of 8"),
+    (["ordering", "--ngpu", "12"], "multiple of 8"),
+    (["imbalance", "--ngpu", "12"], "multiple of 8"),
+    (["plan", "--gbs", "0"], "gbs"),
+    (["step", "--gbs", "0"], "gbs"),
+    (["step", "--seq", "0"], "seq"),
+    (["step", "--gbs", "3"], "gbs=3"),
+    (["plan", "--ngpu", "16384", "--gbs", "3"], "gbs=3"),
+    (["plan", "--ngpu", "8", "--model", "405b"], "no (tp, pp)"),
+    (["ordering", "--tp", "3"], "must equal ngpu"),
+    (["imbalance", "--steps", "0", "--json"], "steps"),
+    (["imbalance", "--dp", "0"], "n_dp_groups"),
+    (["imbalance", "--cp", "0"], "cp"),
+    (["imbalance", "--seq", "0"], "seq"),
+    (["imbalance", "--mean-doc", "0"], "mean_doc_len"),
+]
+
+
+class TestJobUsageErrors:
+    """Degenerate job sizes, plans and fleet-imbalance inputs are a
+    one-line usage error (exit 2), never a traceback or NaN output."""
+
+    @pytest.mark.parametrize("argv, fragment", JOB_USAGE_ERRORS,
+                             ids=["_".join(argv) for argv, _ in JOB_USAGE_ERRORS])
+    def test_rejected_with_usage_error(self, argv, fragment, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert captured.err.count("\n") == 1
+        assert fragment in captured.err
+
+
 class TestRunResilienceFlags:
     """The PR-10 flags: --taxonomy/--topology/--mitigation/--detector
     and tiered --policy, wired through to the v2 JSON report."""

@@ -60,3 +60,14 @@ class TestFleetImbalance:
                 CLUSTER, seq=131072, cp=4, n_dp_groups=2, steps=1,
                 mean_doc_len=1024.0, attention_share=0.0,
             )
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"steps": 0}, "steps"),
+        ({"n_dp_groups": 0}, "n_dp_groups"),
+    ])
+    def test_rejects_empty_fleet_or_run(self, kwargs, name):
+        args = dict(seq=131072, cp=4, n_dp_groups=2, steps=1,
+                    mean_doc_len=1024.0)
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=name):
+            simulate_fleet_imbalance(CLUSTER, **args)

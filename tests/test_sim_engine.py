@@ -100,6 +100,13 @@ class TestInspection:
         assert len(sim.events_for(0)) == 2
         assert len(sim.events_for(0, kind="comm")) == 1
 
+    def test_unseen_rank_reads_zero(self):
+        sim = self._three_rank_sim()
+        assert sim.now(9, "compute") == 0.0
+        assert sim.events_for(9) == []
+        assert sim.busy_time(9) == 0.0
+        assert sim.makespan(ranks=[9]) == 0.0
+
     def test_overlaps(self):
         a = TraceEvent("a", "compute", 0, "s", 0.0, 2.0)
         b = TraceEvent("b", "compute", 1, "s", 1.0, 3.0)

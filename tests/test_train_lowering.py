@@ -10,7 +10,7 @@ import pytest
 
 from repro.hardware.cluster import grand_teton
 from repro.model.config import LLAMA3_8B
-from repro.obs.metrics import MetricsRegistry, record_comm_overlap_metrics
+from repro.obs.metrics import record_comm_overlap_metrics
 from repro.parallel.config import JobConfig, ParallelConfig, ZeroStage
 from repro.parallel.planner import plan_parallelism
 from repro.pp.analysis import default_nc
